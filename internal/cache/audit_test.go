@@ -32,5 +32,6 @@ func TestSnapshotFieldAudit(t *testing.T) {
 		"snap":     "snapshot bookkeeping: armed snapshot, Reset disarms",
 		"epoch":    "snapshot bookkeeping: arming generation",
 		"journal":  "snapshot bookkeeping: undo log since arming",
+		"free":     "snapshot bookkeeping: released snapshots whose slabs Snapshot refills; holds no array state",
 	})
 }

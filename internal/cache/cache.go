@@ -103,12 +103,16 @@ type Array struct {
 	snap    *ArraySnapshot
 	epoch   uint64
 	journal []lineUndo
+
+	// free holds released snapshots whose slabs the next Snapshot
+	// refills instead of allocating (see Release).
+	free []*ArraySnapshot
 }
 
 // ArraySnapshot is a deep copy of an Array's contents at one instant.
 // A snapshot of a clean array (every line invalid with a zeroed LRU
-// stamp — the just-built or just-reset state) retains no line copies
-// at all: clean is set and the slices stay nil, making warm-fork
+// stamp — the just-built or just-reset state) copies no lines at all:
+// clean is set and the slices are left unfilled, making warm-fork
 // snapshot capture O(1) instead of O(capacity).
 type ArraySnapshot struct {
 	lines    []Line // scalar fields only; Data/Dirty live in data/dirty
@@ -348,28 +352,40 @@ func (a *Array) journalLine(l *Line) {
 // arms undo journaling so Restore of this snapshot replays only the
 // lines touched since. The snapshot shares no mutable storage with
 // the array and stays valid across later snapshots, restores and
-// resets.
+// resets. When a released snapshot is available (Release), its slabs
+// are refilled in place instead of allocating new ones.
 func (a *Array) Snapshot() *ArraySnapshot {
-	s := &ArraySnapshot{
-		useClock: a.useClock,
-		lookups:  a.lookups,
-		hits:     a.hits,
-	}
-	if a.isClean() {
-		// Nothing worth copying: invalid lines are never read (Install
-		// zeroes a claimed way), so the restore path can reproduce this
-		// state with a Reset-style invalidation scan instead of a copy.
-		s.clean = true
+	var s *ArraySnapshot
+	if n := len(a.free); n > 0 {
+		s = a.free[n-1]
+		a.free[n-1] = nil
+		a.free = a.free[:n-1]
 	} else {
-		s.lines = append([]Line(nil), a.lines...)
-		s.data = append([]byte(nil), a.data...)
-		s.dirty = append([]bool(nil), a.dirty...)
+		s = &ArraySnapshot{}
+	}
+	s.useClock, s.lookups, s.hits = a.useClock, a.lookups, a.hits
+	// Nothing worth copying from a clean array: invalid lines are never
+	// read (Install zeroes a claimed way), so the restore path can
+	// reproduce this state with a Reset-style invalidation scan
+	// instead of a copy. A recycled snapshot keeps its slabs for later
+	// reuse either way.
+	s.clean = a.isClean()
+	if !s.clean {
+		s.lines = append(s.lines[:0], a.lines...)
+		s.data = append(s.data[:0], a.data...)
+		s.dirty = append(s.dirty[:0], a.dirty...)
 	}
 	a.snap = s
 	a.journal = a.journal[:0]
 	a.epoch++
 	return s
 }
+
+// Release hands s back for reuse by a later Snapshot; the caller
+// promises never to Restore s again. Callers that take and drop
+// snapshots in last-in first-out order (a depth-first search
+// backtracking over cuts) thereby snapshot without allocating.
+func (a *Array) Release(s *ArraySnapshot) { a.free = append(a.free, s) }
 
 // isClean reports whether every line is invalid with a zeroed LRU
 // stamp — the just-built / just-reset state a warm-fork snapshot is

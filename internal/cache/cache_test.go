@@ -1,6 +1,8 @@
 package cache
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -169,6 +171,91 @@ func TestNoAliasing(t *testing.T) {
 		for tag := range installed {
 			if got := a.Peek(tag); got == nil || got.Tag != tag {
 				t.Fatalf("line %#x lost or aliased", uint64(tag))
+			}
+		}
+	}
+}
+
+// scribble mutates a through every journaling access path: installs
+// (evicting once sets fill), masked writes, hits and an invalidation.
+func scribble(a *Array, k int) {
+	for i := 0; i < 12; i++ {
+		addr := mem.Addr((i*3 + k) * 64)
+		l := a.Lookup(addr)
+		if l == nil {
+			l = a.Install(a.Victim(addr, nil), addr, k)
+		}
+		l.WriteMasked([]byte{byte(i + k), byte(k)}, []bool{true, i%2 == 0})
+	}
+	a.Invalidate(mem.Addr(k * 64))
+}
+
+// arrayState renders everything Restore must reinstate: every line's
+// LRU stamp, and the tag, state, bytes and dirty mask of valid lines
+// (invalid lines are never read, so their stale contents may differ).
+func arrayState(a *Array) string {
+	var b strings.Builder
+	for _, l := range a.lines {
+		fmt.Fprintf(&b, "%d:", l.lastUse)
+		if l.Valid {
+			fmt.Fprintf(&b, "%x/%d/%v/%v", l.Tag, l.State, l.Data, l.Dirty)
+		}
+		b.WriteByte(' ')
+	}
+	fmt.Fprint(&b, a.useClock, a.lookups, a.hits)
+	return b.String()
+}
+
+// TestSnapshotReleaseReuse pins recycled snapshots: Snapshot after
+// Release refills the released slabs without allocating, and restoring
+// the reused snapshot — through the armed undo journal and through the
+// full copy-back — reinstates exactly the state restoring a freshly
+// allocated snapshot does. Clean and dirty snapshots are recycled into
+// each other both ways.
+func TestSnapshotReleaseReuse(t *testing.T) {
+	a := NewArray(cfg64)
+	scribble(a, 1)
+	if n := testing.AllocsPerRun(100, func() { a.Release(a.Snapshot()) }); n != 0 {
+		t.Fatalf("Snapshot after Release allocated %.0f times, want 0", n)
+	}
+
+	// run plays one scenario — first, an optional Snapshot+Release,
+	// then second — and returns the states observed: at the measured
+	// snapshot, after its armed restore, after its copy-back restore.
+	run := func(recycle bool, first, second func(*Array)) []string {
+		a := NewArray(cfg64)
+		first(a)
+		if recycle {
+			a.Release(a.Snapshot())
+		}
+		second(a)
+		s := a.Snapshot()
+		got := []string{arrayState(a)}
+		scribble(a, 3)
+		a.Restore(s)
+		got = append(got, arrayState(a))
+		a.Snapshot()
+		scribble(a, 4)
+		a.Restore(s)
+		return append(got, arrayState(a))
+	}
+	nop := func(*Array) {}
+	write := func(k int) func(*Array) { return func(a *Array) { scribble(a, k) } }
+	for _, c := range []struct {
+		name          string
+		first, second func(*Array)
+	}{
+		{"dirty-into-dirty", write(1), write(2)},
+		{"clean-into-dirty", nop, write(2)},
+		{"dirty-into-clean", write(1), (*Array).Reset},
+	} {
+		fresh, reused := run(false, c.first, c.second), run(true, c.first, c.second)
+		for i, what := range []string{"snapshot", "armed restore", "copy-back restore"} {
+			if reused[i] != fresh[i] {
+				t.Fatalf("%s: %s state differs with a recycled snapshot", c.name, what)
+			}
+			if fresh[i] != fresh[0] {
+				t.Fatalf("%s: %s did not reinstate the snapshot state", c.name, what)
 			}
 		}
 	}

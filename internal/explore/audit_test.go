@@ -7,7 +7,7 @@ import (
 )
 
 // TestStateFieldAudits pins the explorer's state structs: a new field
-// on the DFS engine, its stack nodes, or the full-cut snapshot must
+// on the DFS engine, its stack nodes, or the run-context cut must
 // declare how backtracking treats it — restored by the cut, rebuilt per
 // branch, or accumulated across the whole exploration — before it can
 // land.
@@ -17,10 +17,9 @@ func TestStateFieldAudits(t *testing.T) {
 		"sys":    "cut: full coherence-stack snapshot, restored verbatim on backtrack",
 		"tester": "cut: tester + stream-checker snapshot, restored verbatim on backtrack",
 		"col":    "cut: coverage-collector snapshot, restored verbatim on backtrack",
-		"ring":   "cut: trace-ring snapshot, restored verbatim on backtrack",
 	})
 	audit.Fields(t, node{}, map[string]string{
-		"cut":       "branch: snapshot taken inside Choose before the decision fired; restored to re-present the identical candidate set",
+		"cut":       "branch: snapshot taken inside Choose before the decision fired; restored to re-present the identical candidate set, released when the node is popped",
 		"cands":     "branch: viable candidates at the decision, fixed once taken",
 		"next":      "branch: next sibling index, advanced by resumeChoose",
 		"sleep":     "branch: sleep set as it stood at the decision (Godefroid's Z), cloned into each sibling",
@@ -39,7 +38,6 @@ func TestStateFieldAudits(t *testing.T) {
 	})
 	audit.Fields(t, run{}, map[string]string{
 		"build":   "config: kernel + system + collector under exploration",
-		"ring":    "config: replay trace ring (snapshotted via cuts)",
 		"tester":  "config: tester under exploration (snapshotted via cuts)",
 		"testCfg": "config: effective tester config (StreamCheck forced on), embedded in violation artifacts",
 	})

@@ -1,7 +1,6 @@
 package explore
 
 import (
-	"drftest/internal/harness"
 	"drftest/internal/sim"
 	"drftest/internal/viper"
 )
@@ -201,8 +200,10 @@ func (e *engine) scheduleDone() (stop bool, err error) {
 				StreamViolations: len(rep.StreamViolations),
 			}
 			if len(rep.Failures) > 0 {
-				art := harness.NewGPUArtifact(e.cfg.SysCfg, e.run.testCfg, e.run.tester, rep, e.run.ring)
-				art.Schedule = v.Schedule
+				art, err := e.run.artifact(e.cfg, v.Schedule, rep)
+				if err != nil {
+					return true, err
+				}
 				v.Failure = art.FirstFailure()
 				e.res.Artifact = art
 				if e.cfg.ArtifactDir != "" {
@@ -225,8 +226,9 @@ func (e *engine) scheduleDone() (stop bool, err error) {
 }
 
 // backtrack rewinds to the deepest decision point with an unexplored
-// candidate and arms the resumed Choose. It returns false when the
-// stack is exhausted (the bounded space is fully enumerated).
+// candidate and arms the resumed Choose, releasing the cut of every
+// exhausted decision point it pops. It returns false when the stack is
+// exhausted (the bounded space is fully enumerated).
 func (e *engine) backtrack() bool {
 	for len(e.stack) > 0 {
 		n := e.stack[len(e.stack)-1]
@@ -236,6 +238,7 @@ func (e *engine) backtrack() bool {
 			e.resume = true
 			return true
 		}
+		e.run.release(n.cut)
 		e.stack[len(e.stack)-1] = nil
 		e.stack = e.stack[:len(e.stack)-1]
 	}

@@ -5,14 +5,23 @@
 // seed, the explorer systematically enumerates the schedules a single
 // seed can take. It drives the kernel's schedule choice point
 // (sim.Chooser): whenever more than one event is co-enabled at a tick,
-// the explorer snapshots the complete run context — kernel, system,
-// tester, coverage, trace ring, the same full cut checkpointed replay
-// uses — runs one candidate, and later rewinds the cut to run the
-// others, depth-first. Every completed schedule is asserted by the
+// the explorer snapshots the run context — kernel, system, tester and
+// coverage, the cut checkpointed replay uses minus its trace ring —
+// runs one candidate, and later rewinds the cut to run the others,
+// depth-first. Every completed schedule is asserted by the
 // streaming axiomatic checker (checker.Stream via core's StreamCheck)
 // plus the tester's own autonomous checks, so the result upgrades "no
 // violation in N random seeds" to "no violation in any explored
 // schedule of this seed up to depth D".
+//
+// Exploration runs untraced: copying a trace ring into every cut would
+// dominate the cost of a schedule, and only a violating schedule needs
+// its trace. That one schedule is re-run from scratch under its choice
+// script with a trace attached (harness.Replay), and the re-run must
+// reproduce the explored failure. Cuts are dropped in the reverse
+// order they were taken — the search is depth-first — so a popped
+// cut's cache-array storage is released for the next cut to refill
+// (viper.System.Release).
 //
 // Two classic partial-order reductions keep the enumeration tractable:
 //
@@ -41,11 +50,12 @@
 package explore
 
 import (
+	"fmt"
+
 	"drftest/internal/core"
 	"drftest/internal/coverage"
 	"drftest/internal/harness"
 	"drftest/internal/sim"
-	"drftest/internal/trace"
 	"drftest/internal/viper"
 )
 
@@ -76,7 +86,9 @@ type Config struct {
 	// prune-ratio gate measures against.
 	Prune bool
 
-	// TraceDepth is the replay trace-ring depth (<=0 → harness default).
+	// TraceDepth is the trace-ring depth of the violating schedule's
+	// re-run, the trace its artifact embeds (<=0 → harness default).
+	// Exploration itself runs untraced.
 	TraceDepth int
 	// ArtifactDir, when set, receives the replay artifact of the first
 	// violating schedule (with its `schedule` field populated).
@@ -134,14 +146,14 @@ func (r *Result) Complete() bool {
 	return !r.BudgetExhausted && r.Violation == nil
 }
 
-// cut is one full run-context snapshot — the same composition
-// checkpointed replay bisection uses (harness.gpuCheckpoint).
+// cut is one run-context snapshot — the composition checkpointed
+// replay bisection uses (harness.gpuCheckpoint) minus the trace ring,
+// which exploration does not attach.
 type cut struct {
 	kernel *sim.KernelSnapshot
 	sys    *viper.SystemSnapshot
 	tester *core.TesterSnapshot
 	col    *coverage.CollectorSnapshot
-	ring   *trace.RingSnapshot
 }
 
 // run owns the system under exploration. testCfg is the effective
@@ -149,19 +161,13 @@ type cut struct {
 // so replay rebuilds the identical tester.
 type run struct {
 	build   *harness.GPUBuild
-	ring    *trace.Ring
 	tester  *core.Tester
 	testCfg core.Config
 }
 
 func newRun(cfg *Config) (*run, error) {
-	depth := cfg.TraceDepth
-	if depth <= 0 {
-		depth = harness.DefaultTraceCapacity
-	}
 	r := &run{build: harness.BuildGPU(cfg.SysCfg)}
 	r.build.Sys.EnableCheckpointing()
-	r.ring = harness.EnableTrace(r.build.K, depth)
 	tc := cfg.TestCfg
 	tc.StreamCheck = true
 	r.testCfg = tc
@@ -178,7 +184,6 @@ func (r *run) snapshot() *cut {
 		sys:    r.build.Sys.Snapshot(),
 		tester: r.tester.Snapshot(),
 		col:    r.build.Col.Snapshot(),
-		ring:   r.ring.Snapshot(),
 	}
 }
 
@@ -187,7 +192,29 @@ func (r *run) restore(c *cut) {
 	r.build.Sys.Restore(c.sys)
 	r.tester.Restore(c.tester)
 	r.build.Col.Restore(c.col)
-	r.ring.Restore(c.ring)
+}
+
+// release declares c dead (it is never restored again) so the next
+// snapshot can reuse its storage.
+func (r *run) release(c *cut) { r.build.Sys.Release(c.sys) }
+
+// artifact builds the replay artifact of the violating schedule script
+// whose explored run just reported rep. The explored run is untraced,
+// so the schedule is re-run from scratch with a trace ring attached at
+// cfg.TraceDepth; the re-run must reproduce the explored run's first
+// failure, op counts and RNG state, or exploration reports an error.
+func (r *run) artifact(cfg *Config, script []uint64, rep *core.Report) (*harness.Artifact, error) {
+	explored := harness.NewGPUArtifact(cfg.SysCfg, r.testCfg, r.tester, rep, nil)
+	explored.Schedule = script
+	explored.TraceCapacity = cfg.TraceDepth
+	art, err := harness.Replay(explored)
+	if err != nil {
+		return nil, fmt.Errorf("explore: re-running violating schedule: %w", err)
+	}
+	if err := harness.CheckReproduced(explored, art); err != nil {
+		return nil, fmt.Errorf("explore: violating schedule did not reproduce on re-run: %w", err)
+	}
+	return art, nil
 }
 
 // Run explores the configured run's schedule space depth-first and
@@ -212,6 +239,14 @@ func Run(cfg Config) (*Result, error) {
 		res:  Result{Depth: cfg.Depth, Budget: cfg.Budget},
 	}
 	r.build.K.SetChooser(e)
+	defer func() {
+		r.build.K.SetChooser(nil)
+		// Quiesce the stream pipeline's worker goroutine (Report
+		// finishes the stream, which joins it) so explorations don't
+		// leak it, on error returns too. Finish is idempotent, so this
+		// is a no-op after a completed final schedule.
+		_ = r.tester.Report()
+	}()
 
 	r.tester.Start()
 	for {
@@ -224,10 +259,5 @@ func Run(cfg Config) (*Result, error) {
 			break
 		}
 	}
-	r.build.K.SetChooser(nil)
-	// Quiesce the stream pipeline's worker goroutine (Report finishes
-	// the stream, which joins it) so explorations don't leak. Finish is
-	// idempotent, so this is a no-op after a completed final schedule.
-	_ = r.tester.Report()
 	return &e.res, nil
 }

@@ -1,7 +1,13 @@
 package explore
 
 import (
+	"bytes"
+	"math"
+	"os"
+	"path/filepath"
+	"runtime"
 	"testing"
+	"time"
 
 	"drftest/internal/cache"
 	"drftest/internal/core"
@@ -227,5 +233,114 @@ func TestExploreDeterministic(t *testing.T) {
 	}
 	if *a != *b {
 		t.Fatalf("explorations diverged:\n  first:  %+v\n  second: %+v", a, b)
+	}
+}
+
+// TestRunErrorJoinsCheckerWorker pins that an exploration failing with
+// an error still quiesces the stream pipeline's worker goroutine: here
+// the violation artifact cannot be written because ArtifactDir names a
+// regular file. GOMAXPROCS is raised to 2 so the checker runs threaded.
+func TestRunErrorJoinsCheckerWorker(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	notDir := filepath.Join(t.TempDir(), "file")
+	if err := os.WriteFile(notDir, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	sys := exploreSysCfg()
+	sys.Bugs = viper.BugSet{NonAtomicRMW: true}
+	base := runtime.NumGoroutine()
+	_, err := Run(Config{
+		SysCfg:      sys,
+		TestCfg:     exploreTestCfg(1),
+		Depth:       10,
+		Budget:      5_000,
+		Prune:       true,
+		ArtifactDir: notDir,
+	})
+	if err == nil {
+		t.Fatal("expected an error writing the artifact into a regular file")
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > base {
+		if time.Now().After(deadline) {
+			t.Fatalf("goroutines: %d after the failed exploration, %d before", runtime.NumGoroutine(), base)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestExploreBytesPerRun is the tier-1 twin of CI's ExploreDPOR B/op
+// ceiling: one pruned exploration of the reference config must
+// allocate at most 4.5 MB. Explorer cuts carry no trace ring and
+// recycle their cache-array slabs; copying a 4096-entry ring into
+// every cut again allocates about twice the ceiling. Allocation volume
+// is deterministic for a fixed config.
+func TestExploreBytesPerRun(t *testing.T) {
+	const ceiling = 4.5e6
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	res, err := Run(benchConfig(true))
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Violation != nil || !res.Complete() {
+		t.Fatalf("reference exploration not clean and complete: %+v", res)
+	}
+	bytes := after.TotalAlloc - before.TotalAlloc
+	t.Logf("%d schedules, %d bytes allocated", res.Schedules, bytes)
+	if bytes > ceiling {
+		t.Fatalf("one pruned reference exploration allocated %d bytes, above the %.1f MB ceiling", bytes, ceiling/1e6)
+	}
+}
+
+// TestViolationRerunMustReproduce pins the re-run behind violation
+// artifacts: re-running the violating script rebuilds the explored
+// run's artifact byte for byte, and a re-run that diverges from the
+// explored run — a script the kernel cannot follow, or a report the
+// re-run does not reproduce — is an error, not an artifact.
+func TestViolationRerunMustReproduce(t *testing.T) {
+	sys := exploreSysCfg()
+	sys.Bugs = viper.BugSet{NonAtomicRMW: true}
+	cfg := Config{SysCfg: sys, TestCfg: exploreTestCfg(1), Depth: 10, Prune: true}
+	res, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Artifact == nil {
+		t.Fatalf("expected a violation artifact: %+v", res)
+	}
+	want, err := res.Artifact.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	script := res.Violation.Schedule
+
+	// Rebuild the explored run's end state by following its script.
+	r, err := newRun(&cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.build.K.SetChooser(sim.NewScriptChooser(script))
+	rep := r.tester.Run()
+
+	art, err := r.artifact(&cfg, script, rep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := art.Encode(); err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("re-run artifact differs from the exploration's (encode error %v)", err)
+	}
+	bogus := make([]uint64, len(script))
+	for i := range bogus {
+		bogus[i] = math.MaxUint64
+	}
+	if _, err := r.artifact(&cfg, bogus, rep); err == nil {
+		t.Fatal("a script the re-run cannot follow produced an artifact")
+	}
+	diverged := *rep
+	diverged.OpsCompleted++
+	if _, err := r.artifact(&cfg, script, &diverged); err == nil {
+		t.Fatal("a re-run that does not reproduce the explored report produced an artifact")
 	}
 }

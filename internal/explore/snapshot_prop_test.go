@@ -6,8 +6,17 @@ import (
 
 	"drftest/internal/harness"
 	"drftest/internal/sim"
+	"drftest/internal/trace"
 	"drftest/internal/viper"
 )
+
+// tracedCut pairs an explorer cut with a snapshot of a trace ring the
+// test attaches itself (explorer runs are untraced), so the witness
+// still covers the trace tail.
+type tracedCut struct {
+	cut  *cut
+	ring *trace.RingSnapshot
+}
 
 // snapChooser is a FIFO chooser that exposes the explorer's access
 // pattern for testing: it counts Choose calls and takes a full-cut
@@ -16,29 +25,35 @@ import (
 // snapshots branching decision points.
 type snapChooser struct {
 	r     *run
+	ring  *trace.Ring
 	calls int
-	at    map[int]*cut
+	at    map[int]*tracedCut
 }
 
 func (c *snapChooser) Choose(now sim.Tick, cands []sim.Enabled) int {
 	c.calls++
 	if c.at != nil {
 		if _, want := c.at[c.calls]; want {
-			c.at[c.calls] = c.r.snapshot()
+			c.at[c.calls] = &tracedCut{cut: c.r.snapshot(), ring: c.ring.Snapshot()}
 		}
 	}
 	return 0
 }
 
+func (c *snapChooser) restore(tc *tracedCut) {
+	c.r.restore(tc.cut)
+	c.ring.Restore(tc.ring)
+}
+
 // fingerprint runs the current schedule to completion and returns the
 // full replay artifact serialized — ops, final RNG state, failures and
 // the complete trace tail — as the bit-identity witness.
-func fingerprint(t *testing.T, sys viper.Config, r *run) []byte {
+func fingerprint(t *testing.T, sys viper.Config, r *run, ring *trace.Ring) []byte {
 	t.Helper()
 	r.build.K.RunUntilIdle()
 	r.tester.Finish()
 	rep := r.tester.Report()
-	art := harness.NewGPUArtifact(sys, r.testCfg, r.tester, rep, r.ring)
+	art := harness.NewGPUArtifact(sys, r.testCfg, r.tester, rep, ring)
 	data, err := art.Encode()
 	if err != nil {
 		t.Fatal(err)
@@ -60,11 +75,12 @@ func TestSnapshotForkRewindRefork(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ch := &snapChooser{r: r, at: map[int]*cut{outer: nil, inner: nil}}
+	ring := harness.EnableTrace(r.build.K, harness.DefaultTraceCapacity)
+	ch := &snapChooser{r: r, ring: ring, at: map[int]*tracedCut{outer: nil, inner: nil}}
 	r.build.K.SetChooser(ch)
 
 	r.tester.Start()
-	want := fingerprint(t, cfg.SysCfg, r)
+	want := fingerprint(t, cfg.SysCfg, r, ring)
 	cutOuter, cutInner := ch.at[outer], ch.at[inner]
 	if cutOuter == nil || cutInner == nil {
 		t.Fatalf("run too short: %d Choose calls, need %d", ch.calls, inner)
@@ -72,8 +88,8 @@ func TestSnapshotForkRewindRefork(t *testing.T) {
 	ch.at = nil
 
 	// Rewind to the inner point and re-run: bit-identical.
-	r.restore(cutInner)
-	if got := fingerprint(t, cfg.SysCfg, r); !bytes.Equal(got, want) {
+	ch.restore(cutInner)
+	if got := fingerprint(t, cfg.SysCfg, r, ring); !bytes.Equal(got, want) {
 		t.Fatal("restore(inner) diverged from original run")
 	}
 
@@ -81,10 +97,10 @@ func TestSnapshotForkRewindRefork(t *testing.T) {
 	// en route (refork), finish, then rewind to the re-taken inner cut
 	// and finish again — every completion must match the original.
 	for round := 0; round < 3; round++ {
-		r.restore(cutOuter)
+		ch.restore(cutOuter)
 		ch.calls = outer
-		ch.at = map[int]*cut{inner: nil}
-		if got := fingerprint(t, cfg.SysCfg, r); !bytes.Equal(got, want) {
+		ch.at = map[int]*tracedCut{inner: nil}
+		if got := fingerprint(t, cfg.SysCfg, r, ring); !bytes.Equal(got, want) {
 			t.Fatalf("round %d: restore(outer) diverged from original run", round)
 		}
 		refork := ch.at[inner]
@@ -93,8 +109,8 @@ func TestSnapshotForkRewindRefork(t *testing.T) {
 		}
 		ch.at = nil
 
-		r.restore(refork)
-		if got := fingerprint(t, cfg.SysCfg, r); !bytes.Equal(got, want) {
+		ch.restore(refork)
+		if got := fingerprint(t, cfg.SysCfg, r, ring); !bytes.Equal(got, want) {
 			t.Fatalf("round %d: restore(reforked inner) diverged from original run", round)
 		}
 	}

@@ -201,6 +201,9 @@ type l2ctrl interface {
 	// (see System.Snapshot for the contract).
 	snapshot() any
 	restore(snap any)
+	// release hands a snapshot's reusable storage back (see
+	// System.Release).
+	release(snap any)
 }
 
 // sliceOf routes a line address to its L2 slice.
@@ -468,5 +471,18 @@ func (s *System) Restore(snap *SystemSnapshot) {
 	}
 	if s.Mem != nil {
 		s.Mem.Restore(snap.mem)
+	}
+}
+
+// Release declares snap dead: it will never be restored again, so the
+// cache arrays may refill its line slabs on a later Snapshot instead
+// of allocating (cache.Array.Release). A depth-first search that
+// drops its cuts in last-in first-out order thereby recycles them.
+func (s *System) Release(snap *SystemSnapshot) {
+	for i, tcp := range s.TCPs {
+		tcp.array.Release(snap.tcps[i].array)
+	}
+	for i, l2 := range s.l2s {
+		l2.release(snap.l2s[i])
 	}
 }

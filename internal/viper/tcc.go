@@ -601,6 +601,8 @@ func (c *TCC) snapshot() any {
 	return s
 }
 
+func (c *TCC) release(snap any) { c.array.Release(snap.(*tccSnapshot).array) }
+
 func (c *TCC) restore(snap any) {
 	s := snap.(*tccSnapshot)
 	c.array.Restore(s.array)

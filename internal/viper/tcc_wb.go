@@ -398,6 +398,8 @@ func (c *TCCWB) snapshot() any {
 	return s
 }
 
+func (c *TCCWB) release(snap any) { c.array.Release(snap.(*wbSnapshot).array) }
+
 func (c *TCCWB) restore(snap any) {
 	s := snap.(*wbSnapshot)
 	c.array.Restore(s.array)
